@@ -849,15 +849,16 @@ func (s *sim) replan() {
 	if s.cfg.Mode == ModeDirect {
 		// Cells already staged in the destination VOQs are still unserved
 		// demand: ModeDirect's boundary drains LOCAL into them wholesale,
-		// so LOCAL alone would go blind after one epoch.
+		// so LOCAL alone would go blind after one epoch. txActive covers
+		// every non-empty VOQ, so only the node's live peers are visited.
 		for node := s.workActive.next(0); node >= 0; node = s.workActive.next(node + 1) {
 			base := node * n
-			for dst := 0; dst < n; dst++ {
-				if l := s.voq[base+dst].len(); l > 0 {
-					if d[base+dst] == 0 {
-						s.planTouched = append(s.planTouched, int32(base+dst))
+			for idx := s.txActive.nextIn(base, base+n); idx >= 0; idx = s.txActive.nextIn(idx+1, base+n) {
+				if l := s.voq[idx].len(); l > 0 {
+					if d[idx] == 0 {
+						s.planTouched = append(s.planTouched, int32(idx))
 					}
-					d[base+dst] += int32(l)
+					d[idx] += int32(l)
 				}
 			}
 		}

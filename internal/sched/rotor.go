@@ -17,6 +17,8 @@ type RotorRR struct {
 	uplinks int
 	slots   int // hold time per matching, in slots (incl. reconfig)
 	recfg   int // leading dark slots per epoch
+
+	shifts []int32 // per uplink: this epoch's shift, scratch for Plan
 }
 
 // NewRotorRR builds a rotor scheduler holding each matching for
@@ -32,7 +34,10 @@ func NewRotorRR(nodes, uplinks, slotsPerEpoch, reconfigSlots int) (*RotorRR, err
 	case reconfigSlots < 0 || reconfigSlots >= slotsPerEpoch:
 		return nil, fmt.Errorf("sched: reconfig slots (%d) must be in [0, slots per epoch)", reconfigSlots)
 	}
-	return &RotorRR{nodes: nodes, uplinks: uplinks, slots: slotsPerEpoch, recfg: reconfigSlots}, nil
+	return &RotorRR{
+		nodes: nodes, uplinks: uplinks, slots: slotsPerEpoch, recfg: reconfigSlots,
+		shifts: make([]int32, uplinks),
+	}, nil
 }
 
 // Nodes implements Scheduler.
@@ -62,24 +67,27 @@ func (r *RotorRR) shift(epoch int64, u int) int {
 }
 
 // Plan implements Scheduler: matching i → i+shift on every uplink, all
-// slots, with the leading reconfig slots dark.
+// slots, with the leading reconfig slots dark. Every serving slot holds
+// the same row, so it is computed once in memory order and tiled.
 func (r *RotorRR) Plan(epoch int64, demand []int32, dst []int32) int {
 	n, up := r.nodes, r.uplinks
-	for u := 0; u < up; u++ {
-		m := r.shift(epoch, u)
-		for slot := 0; slot < r.slots; slot++ {
-			base := slot * n * up
-			if slot < r.recfg {
-				for node := 0; node < n; node++ {
-					dst[base+node*up+u] = -1
-				}
-				continue
+	plane := n * up
+	fillDark(dst[:r.recfg*plane])
+	for u := range r.shifts {
+		r.shifts[u] = int32(r.shift(epoch, u))
+	}
+	row := dst[r.recfg*plane : (r.recfg+1)*plane]
+	for node := 0; node < n; node++ {
+		out := row[node*up : (node+1)*up]
+		for u, m := range r.shifts {
+			d := int32(node) + m
+			if d >= int32(n) {
+				d -= int32(n)
 			}
-			for node := 0; node < n; node++ {
-				dst[base+node*up+u] = int32((node + m) % n)
-			}
+			out[u] = d
 		}
 	}
+	tile(dst[r.recfg*plane:r.slots*plane], plane)
 	return r.recfg * n * up
 }
 

@@ -53,7 +53,8 @@ type Scheduler interface {
 	// Plan fills dst — laid out [(slot*nodes + node)*uplinks + uplink],
 	// length SlotsPerEpoch()*Nodes()*Uplinks() — with the coming
 	// epoch's matchings; -1 marks a dark (unused or reconfiguring)
-	// entry. demand is the read-only nodes×nodes matrix of cells
+	// entry. Every entry is written: dst's contents on entry are
+	// unspecified. demand is the read-only nodes×nodes matrix of cells
 	// queued at each source for each destination, sampled by the core
 	// at the epoch boundary. epoch counts boundaries since Reset. The
 	// return value is the number of link-slots left dark to pay for
@@ -64,6 +65,23 @@ type Scheduler interface {
 	// demand) so a fresh run replays identically. The core calls it
 	// once before the first Plan.
 	Reset()
+}
+
+// fillDark marks every entry of s dark (-1). Doubling copies run at
+// memmove speed, which a per-entry store loop does not.
+func fillDark(s []int32) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = -1
+	tile(s, 1)
+}
+
+// tile repeats s[:k] over the whole of s.
+func tile(s []int32, k int) {
+	for k < len(s) {
+		k += copy(s[k:], s[:k])
+	}
 }
 
 // CheckMatching verifies the contention-freedom safety property of one
