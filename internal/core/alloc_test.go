@@ -42,10 +42,6 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.sh != nil {
-		s.sh.start()
-		t.Cleanup(s.sh.stop)
-	}
 	// Inject the whole workload up front so the system stays busy for the
 	// duration of the measurement.
 	for f := range flows {
@@ -59,11 +55,7 @@ func stepDriver(t *testing.T, mutate func(*Config)) (s *sim, stepOnce func()) {
 		if s.pendingQ != nil && s.pendingOut > 0 {
 			s.drainPending()
 		}
-		if s.sh != nil {
-			s.stepSharded(int(slot%epochE), now.Add(slotDur))
-		} else {
-			s.step(int(slot%epochE), now.Add(slotDur))
-		}
+		s.step(int(slot%epochE), now.Add(slotDur))
 		slot++
 	}
 }
@@ -82,13 +74,6 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 		{"ideal", func(c *Config) { c.Mode = ModeIdeal }, 4000},
 		{"direct", func(c *Config) { c.Mode = ModeDirect }, 4000},
 		{"paced", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64 }, 4000},
-		// Sharded engine: the barrier hand-offs (channel send + WaitGroup),
-		// the event logs, the screen, and the per-shard arenas must all be
-		// allocation-free once warm, same as the serial loop.
-		{"requestgrant_sharded", func(c *Config) { c.Shards = 4 }, 4000},
-		{"ideal_sharded", func(c *Config) { c.Mode = ModeIdeal; c.Shards = 4 }, 4000},
-		{"direct_sharded", func(c *Config) { c.Mode = ModeDirect; c.Shards = 4 }, 4000},
-		{"paced_sharded", func(c *Config) { c.InjectRate = 4; c.LocalCap = 64; c.Shards = 4 }, 4000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

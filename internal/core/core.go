@@ -90,10 +90,10 @@ const (
 // satisfies it. Plan fills dst — laid out like the internal schedule
 // table, [(slot*nodes+node)*uplinks+uplink], -1 = dark — and returns
 // the link-slots left dark to pay for reconfiguration. The core calls
-// Reset once per run and then Plan serially from the coordinator
-// goroutine, identically in the serial and sharded engines, so a
-// deterministic planner keeps runs byte-identical at a fixed seed. A
-// Planner instance must not be shared between concurrent runs.
+// Reset once per run and then Plan once per epoch boundary, on the
+// goroutine running the slot loop, so a deterministic planner keeps
+// runs byte-identical at a fixed seed. A Planner instance must not be
+// shared between concurrent runs.
 type Planner interface {
 	Nodes() int
 	Uplinks() int
@@ -165,13 +165,6 @@ type Config struct {
 	Seed uint64
 	// MaxSlots caps the run as a safety net; 0 means a generous default.
 	MaxSlots int64
-	// Shards partitions the slot loop across that many goroutines owning
-	// contiguous node ranges (shard.go). Results are byte-identical to the
-	// serial engine at the same seed — the sharded engine replays the
-	// serial discipline exactly (see DESIGN.md §6, "Scaling law") — so
-	// Shards is purely a throughput knob. 0 or 1 selects the serial
-	// engine. Values are clamped to the node count and to 64.
-	Shards int
 }
 
 // Results summarizes a run.
@@ -359,9 +352,6 @@ type sim struct {
 	grantsUnused int64   // grants whose LOCAL queue had drained
 	localStalls  int64   // drainPending stalls on the LOCAL cap (guardband)
 	txCells      int64   // cells transmitted (slot-loop pops), all uplinks
-
-	// sh is the sharded engine (nil = serial). See shard.go.
-	sh *shardEng
 }
 
 // Run simulates the given flows to completion and returns the results.
@@ -533,20 +523,6 @@ func newSim(ctx context.Context, cfg Config, flows []workload.Flow) (*sim, error
 			s.cc.InstantControl()
 		}
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: negative shard count")
-	}
-	if p := cfg.Shards; p > 1 {
-		if p > n {
-			p = n
-		}
-		if p > maxShards {
-			p = maxShards
-		}
-		if p > 1 {
-			s.sh = newShardEng(s, p)
-		}
-	}
 	return s, nil
 }
 
@@ -606,11 +582,6 @@ func (s *sim) run() (*Results, error) {
 	var slot int64
 	quiescent := 0
 
-	if s.sh != nil {
-		s.sh.start()
-		defer s.sh.stop()
-	}
-
 	for ; slot < maxSlots; slot++ {
 		now := simtime.Time(slot * int64(slotDur))
 		// Inject flows that have arrived by the start of this slot.
@@ -646,18 +617,11 @@ func (s *sim) run() (*Results, error) {
 				}
 			}
 		}
-		if s.sh != nil {
-			s.stepSharded(e, now.Add(slotDur))
-		} else {
-			s.step(e, now.Add(slotDur))
-		}
+		s.step(e, now.Add(slotDur))
 	}
 	if slot >= maxSlots {
 		return nil, fmt.Errorf("core: slot cap %d reached with %d/%d flows complete",
 			maxSlots, s.completed, len(s.flows))
-	}
-	if s.sh != nil {
-		s.sh.mergeStats()
 	}
 	statCells.Add(s.delivered)
 	statSlots.Add(slot)
@@ -726,9 +690,7 @@ func (s *sim) step(e int, deliverAt simtime.Time) {
 }
 
 // nodeStep runs one node's turn of the slot: the uplink fan-out over this
-// slot's schedule row. It is shared between the serial slot loop and the
-// sharded engine's serial pass over affected nodes (shard.go), which is
-// why it is split out of step.
+// slot's schedule row.
 func (s *sim) nodeStep(node int, row []int32, deliverAt simtime.Time) {
 	uplinks := s.uplinks
 	nodeRow := row[node*uplinks : (node+1)*uplinks]
@@ -822,13 +784,10 @@ func (s *sim) consume(node, dst int) int64 {
 	return cellRef(f, seq)
 }
 
-// replan runs the dynamic planner at an epoch boundary: snapshot the
-// demand matrix (read-only — unlike demandScan this never touches the
-// round-robin cursors), let the planner rewrite the epoch's connection
-// table, and refresh the sharded engine's derived indices. It runs on
-// the coordinator goroutine before the epoch's control plane, at the
-// same point in the slot timeline in both engines, so a deterministic
-// planner preserves byte-identical serial/sharded replay.
+// replan runs the dynamic planner at an epoch boundary, before the
+// epoch's control plane: snapshot the demand matrix (read-only — unlike
+// the demand method this never touches the round-robin cursors) and let
+// the planner rewrite the epoch's connection table.
 func (s *sim) replan() {
 	d := s.planDemand
 	for _, idx := range s.planTouched {
@@ -864,9 +823,6 @@ func (s *sim) replan() {
 		}
 	}
 	s.reconfigSlots += int64(s.cfg.Planner.Plan(s.epoch, d, s.dstTable))
-	if s.sh != nil {
-		s.sh.rebuildIndex()
-	}
 }
 
 // epochBoundary runs the control plane for the coming epoch.
@@ -1017,25 +973,12 @@ func (s *sim) findVia(node, d int) (int, bool) {
 // (the dstActive index), so an idle or lightly loaded node costs O(n/64)
 // instead of O(n).
 func (s *sim) demand(node int) []int {
-	buf, cands, counts := s.demandScan(node, s.demandBuf[:0], s.demandCands[:0], s.demandCounts[:0])
-	s.demandBuf = buf
-	s.demandCands, s.demandCounts = cands[:0], counts[:0]
-	return buf
-}
-
-// demandScan is demand with caller-provided scratch, appending node's
-// request candidates to buf (which may already hold other nodes'): the
-// sharded engine precomputes every node's demand concurrently with one
-// scratch set per shard (shard.go), accumulating into per-shard flat
-// buffers. The enumeration order and the demandStart bump are exactly
-// demand's.
-func (s *sim) demandScan(node int, buf []int, cands, counts []int32) ([]int, []int32, []int32) {
+	buf, cands, counts := s.demandBuf[:0], s.demandCands[:0], s.demandCounts[:0]
 	start := s.demandStart[node] % s.n
 	s.demandStart[node]++
 	if s.localCount[node] == 0 {
-		return buf, cands, counts
+		return buf
 	}
-	n0 := len(buf)
 	limit := s.k * (s.n - 1)
 	// Collect the destinations with backlog and their depths, in the
 	// rotated order the reference scan produced.
@@ -1051,7 +994,7 @@ func (s *sim) demandScan(node int, buf []int, cands, counts []int32) ([]int, []i
 	}
 	// Distribute the budget one cell per destination per pass, dropping
 	// exhausted queues from the compact candidate list.
-	for len(buf)-n0 < limit && len(cands) > 0 {
+	for len(buf) < limit && len(cands) > 0 {
 		w := 0
 		for i, d := range cands {
 			buf = append(buf, int(d))
@@ -1060,13 +1003,15 @@ func (s *sim) demandScan(node int, buf []int, cands, counts []int32) ([]int, []i
 				cands[w], counts[w] = d, counts[i]
 				w++
 			}
-			if len(buf)-n0 == limit {
+			if len(buf) == limit {
 				break
 			}
 		}
 		cands, counts = cands[:w], counts[:w]
 	}
-	return buf, cands, counts
+	s.demandBuf = buf
+	s.demandCands, s.demandCounts = cands[:0], counts[:0]
+	return buf
 }
 
 // transmit sends at most one cell from node to dst in this slot: either a
@@ -1127,12 +1072,6 @@ func (s *sim) transmit(node, dst int, deliverAt simtime.Time) {
 		s.txActive.set(fwdIdx)
 		s.workInc(dst)
 		s.queueGauge[dst].Add(1)
-		if s.sh != nil {
-			// Sweep replay of an affected node (shardSweep): the push
-			// bypassed the event log, but the receiver still needs the
-			// idle-correction bookkeeping its logged counterparts get.
-			s.sh.noteSweepPush(node, dst)
-		}
 	}
 	// Otherwise idle: the slot carries only piggybacked control (already
 	// modeled by the epoch-granularity control plane).

@@ -103,11 +103,10 @@ func goldenCase(t *testing.T, mutate func(*Config)) (Config, []workload.Flow) {
 	return cfg, flows
 }
 
-// goldenCases is the fixture grid, shared with the sharded byte-identity
-// tests (shard_test.go). The sched_* cases drive the dynamic-planner
-// path (Config.Planner) through each scheduler family in its natural
-// operating mode; their mutate builds a fresh planner per call so no
-// cross-run state can leak between tests.
+// goldenCases is the fixture grid. The sched_* cases drive the
+// dynamic-planner path (Config.Planner) through each scheduler family in
+// its natural operating mode; their mutate builds a fresh planner per
+// call so no cross-run state can leak between tests.
 func goldenCases() []struct {
 	name   string
 	mutate func(*Config)
@@ -146,28 +145,9 @@ func TestGoldenDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.MarshalIndent(summarize(res), "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", "golden_"+tc.name+".json")
+			got := checkGolden(t, tc.name, res)
 			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
 				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("golden fixture missing (run with -update-golden): %v", err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("results diverge from the golden fixture %s\n got: %s\nwant: %s",
-					path, got, want)
 			}
 			// A second run in the same process must be byte-identical too
 			// (no hidden global state).
@@ -184,4 +164,35 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkGolden compares res's summary with testdata/golden_<name>.json,
+// or rewrites the fixture under -update-golden, and returns the summary
+// bytes.
+func checkGolden(t *testing.T, name string, res *Results) []byte {
+	t.Helper()
+	got, err := json.MarshalIndent(summarize(res), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "golden_"+name+".json")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden fixture missing (run with -update-golden): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("results diverge from the golden fixture %s\n got: %s\nwant: %s",
+			path, got, want)
+	}
+	return got
 }

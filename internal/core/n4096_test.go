@@ -10,15 +10,15 @@ import (
 	"sirius/internal/workload"
 )
 
-// TestShardedMatchesSerialN4096 is the full-scale differential: one
-// serial and one 4-shard run of the n=4096 benchmark configuration,
-// diffed field by field. It takes about a minute of wall clock (the
-// serial reference dominates), so it only runs when SIRIUS_N4096 is set
-// — the CI n4096-smoke job does; the regular test suite relies on the
-// n ≤ 48 differentials plus the golden replays instead.
-func TestShardedMatchesSerialN4096(t *testing.T) {
+// TestGoldenN4096RG pins the full-scale output: the n=4096 request-grant
+// benchmark configuration (grouped(4096, 64, 1), 8000 flows at load 0.9)
+// against its summary fixture, the same projection TestGoldenDeterminism
+// uses. One run takes several seconds of wall clock, so it only runs when
+// SIRIUS_N4096 is set — the CI n4096-smoke job does; the regular suite
+// relies on the n = 16 golden replays.
+func TestGoldenN4096RG(t *testing.T) {
 	if os.Getenv("SIRIUS_N4096") == "" {
-		t.Skip("set SIRIUS_N4096=1 to run the ~1 minute full-scale differential")
+		t.Skip("set SIRIUS_N4096=1 to run the full-scale golden replay")
 	}
 	sched, err := schedule.NewGrouped(4096, 64, 1)
 	if err != nil {
@@ -31,13 +31,10 @@ func TestShardedMatchesSerialN4096(t *testing.T) {
 	}
 	cfg := Config{Schedule: sched, Slot: phy.DefaultSlot(), Q: 4,
 		NormalizeRate: 400 * simtime.Gbps, Seed: 1, KeepPerFlow: true}
-	ser, rs := runSim(t, cfg, flows)
-	cfg.Shards = 4
-	sh, rp := runSim(t, cfg, flows)
-	if sh.sh == nil {
-		t.Fatal("sharded engine not engaged (fell back to serial)")
+	res, err := Run(cfg, flows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	diffSims(t, ser, sh, rs, rp)
-	t.Logf("n=4096: %d slots, %d flows completed, byte-identical under 4 shards",
-		rs.Slots, rs.Completed)
+	checkGolden(t, "n4096_rg", res)
+	t.Logf("n=4096: %d slots, %d flows completed", res.Slots, res.Completed)
 }

@@ -24,7 +24,7 @@
 // Determinism contract: Plan must be a pure function of (epoch, demand,
 // receiver state mutated only by previous Plan calls). No wall clock,
 // no global RNG — the core replays runs byte-identically at a fixed
-// seed, serial or sharded, and the sweep cache depends on it.
+// seed, and the sweep cache depends on it.
 package sched
 
 import (
