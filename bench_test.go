@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -425,10 +426,11 @@ var coreBenchBaseline = map[string]map[string]float64{
 // ---- The flow-level layer: fluid solver and dc composition ----
 
 // fluidBenchCases is the flows/sec grid for the max-min fluid solver:
-// fabric sizes n ∈ {32, 128, 512} across the non-blocking and 3:1
-// oversubscribed variants. The last case (n512/ideal) is the largest and
-// the PR-to-PR comparison anchor; see BENCH_fluid.json for the recorded
-// trajectory.
+// fabric sizes n ∈ {32, 64, 128, 512} across the non-blocking and 3:1
+// oversubscribed variants. n64/osub3 is the shape of the Fig 9 ESN-OSUB
+// baseline (64 racks in groups of 8). The last case (n512/ideal) is the
+// largest and the PR-to-PR comparison anchor; see BENCH_fluid.json for
+// the recorded trajectory.
 var fluidBenchCases = []struct {
 	name    string
 	n       int
@@ -439,6 +441,7 @@ var fluidBenchCases = []struct {
 }{
 	{"n32/ideal", 32, 0, 1, 2000, 0.8},
 	{"n32/osub3", 32, 8, 3, 2000, 0.8},
+	{"n64/osub3", 64, 8, 3, 3000, 0.8},
 	{"n128/ideal", 128, 0, 1, 4000, 0.8},
 	{"n128/osub3", 128, 16, 3, 4000, 0.8},
 	{"n512/ideal", 512, 0, 1, 8000, 0.8},
@@ -448,6 +451,26 @@ var fluidBenchCases = []struct {
 type benchRecord struct {
 	NsPerOp  float64 `json:"ns_per_op"`
 	FlowsSec float64 `json:"flows_per_sec"`
+}
+
+// benchHost stamps an artifact section with the machine it was measured
+// on: CPU model, NumCPU, GOMAXPROCS and Go version.
+func benchHost() map[string]interface{} {
+	model := "unknown"
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return map[string]interface{}{
+		"cpu_model":  model,
+		"num_cpu":    runtime.NumCPU(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"go_version": runtime.Version(),
+	}
 }
 
 // writeBenchFluid merges the given sections into BENCH_fluid.json,
@@ -513,6 +536,7 @@ func BenchmarkFluidFlowsPerSecond(b *testing.B) {
 	}
 	writeBenchFluid(b, "fluid", map[string]interface{}{
 		"benchmark": "BenchmarkFluidFlowsPerSecond",
+		"host":      benchHost(),
 		"config": map[string]interface{}{
 			"load": 0.8, "rate_gbps": 400, "workload_seed": 11,
 			"note": "uniform Poisson/Pareto workload per fluidBenchCases; base RTT 1us",

@@ -38,7 +38,9 @@ func stepDriver(t *testing.T, cfg Config, nflows int, seed uint64) (e *engine, s
 // event loop: with the dense flow table, FCT samples and solver scratch
 // all preallocated by newEngine, processing an event (arrival or
 // completion, including the full max-min reallocation) performs no heap
-// allocations — on the linear-scan path and the heap path alike.
+// allocations. One winner tree selects bottlenecks at every fabric size;
+// the scan_* and heap_* case names are kept from the two selection
+// paths it replaced.
 func TestEventLoopZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name string
@@ -50,13 +52,12 @@ func TestEventLoopZeroAlloc(t *testing.T) {
 			EndpointsPerRack: 8, Oversub: 3, BaseRTT: simtime.Microsecond}},
 		{"heap_ideal", Config{Endpoints: 128, EndpointRate: 400 * simtime.Gbps,
 			Oversub: 1, BaseRTT: simtime.Microsecond}},
+		{"tree_osub3", Config{Endpoints: 64, EndpointRate: 400 * simtime.Gbps,
+			EndpointsPerRack: 8, Oversub: 3, BaseRTT: simtime.Microsecond}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e, stepOnce := stepDriver(t, tc.cfg, 3000, 11)
-			if tc.cfg.Endpoints >= 64 != e.useHeap {
-				t.Fatalf("unexpected bottleneck-selection path (useHeap=%v)", e.useHeap)
-			}
 			// Warm up into the steady state: plenty of arrivals consumed
 			// and completions recorded, far from draining.
 			for i := 0; i < 2000 && !e.done(); i++ {
@@ -70,6 +71,12 @@ func TestEventLoopZeroAlloc(t *testing.T) {
 			}
 			if e.done() {
 				t.Fatal("workload drained during measurement; enlarge it")
+			}
+			// The live tree's root is the (share, lowest index) minimum
+			// of the live share cache.
+			got, _ := e.tree0.root()
+			if want := scanMin(leafShares(e.tree0)); got != want {
+				t.Errorf("tree root is constraint %d, scan picks %d", got, want)
 			}
 		})
 	}

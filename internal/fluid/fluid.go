@@ -31,17 +31,20 @@
 //     "virtual finish time" bookkeeping whose float drift, while tiny,
 //     would change completions by ulps. Fusing the min into that
 //     mandatory pass makes next-event selection free.
-//   - The max-min solver keeps per-constraint membership counts AND the
-//     per-constraint fair share caps[c]/counts[c] incrementally (at most
-//     four integer adds and divisions per event), resets solver state
-//     with memcopies, and marks frozen flows with an epoch stamp. Each
-//     progressive-filling round selects its bottleneck from the share
-//     cache — via an indexed min-heap keyed by (share, index) on large
-//     fabrics, a linear compare scan on small ones; both orders are
-//     exactly the reference ascending-index strict-< scan — and freezes
-//     only the flows crossing it, found through per-constraint member
-//     lists (CSR layout) rebuilt per allocation from the exact
-//     membership counts. The steady-state event loop performs zero heap
+//   - The max-min solver keeps per-constraint membership counts and a
+//     winner (tournament) tree over the per-constraint fair shares
+//     caps[c]/counts[c] incrementally (at most four divisions and
+//     leaf-to-root walks per event), resets solver state with
+//     memcopies, and marks frozen flows with an epoch stamp. Each
+//     progressive-filling round takes its bottleneck from the tree's
+//     root, keyed by (share, index) so it is exactly the reference
+//     ascending-index strict-< scan's pick, and freezes only the flows
+//     crossing it, found through per-constraint member lists (CSR
+//     layout) rebuilt per allocation from the exact membership counts.
+//     A round's freezes only subtract from capacities and counts; each
+//     constraint they touch gets one division and one tree update after
+//     the round (early-stopping walks, or one bottom-up rebuild when the
+//     batch is large). The steady-state event loop performs zero heap
 //     allocations (pinned by TestEventLoopZeroAlloc).
 //
 // Run-to-run determinism note: the pre-rewrite implementation iterated a
@@ -54,6 +57,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -182,44 +186,32 @@ type engine struct {
 	// [n,2n) endpoint ingress, then per-rack egress and ingress when
 	// oversubscribed.
 	//
-	// shares0 caches caps0[c]/counts0[c] (the round-0 fair share of every
-	// constraint; +Inf when unused) and is maintained incrementally as
-	// flows arrive and depart — at most four divisions per event. Inside
-	// allocate the scratch copy is updated whenever a freeze changes a
-	// constraint, so the per-round bottleneck search is a pure compare
-	// scan with no divisions. The cached value is computed by the same
-	// expression the reference implementation evaluated inline
-	// (caps[c]/float64(counts[c])), so the scan observes bit-identical
-	// shares and selects bit-identical bottlenecks.
+	// tree0 is a winner tree (see winnerTree) whose leaves cache every
+	// constraint's round-0 fair share caps0[c]/counts0[c] (+Inf when
+	// unused). It is maintained incrementally as flows arrive and
+	// depart: at most four divisions and leaf-to-root walks per event.
+	// allocate() copies it into the tree scratch and updates a leaf once
+	// per round for every constraint the round's freezes touched, so the
+	// bottleneck search does no divisions. The cached value is computed
+	// by the same expression the reference implementation evaluated
+	// inline (caps[c]/float64(counts[c])), so the selection observes
+	// bit-identical shares and picks bit-identical bottlenecks.
 	nCons    int
 	rackBase int
 	caps0    []float64 // capacities (bits/s)
 	counts0  []int32   // live membership counts, maintained incrementally
-	shares0  []float64 // live caps0/counts0 cache (+Inf when counts0 == 0)
+	tree0    winnerTree
 	caps     []float64 // allocate() scratch
 	counts   []int32   // allocate() scratch
-	shares   []float64 // allocate() scratch share cache
-	epoch    int64     // allocate() invocation stamp
+	tree     winnerTree
+	depth    int   // internal nodes on the longest leaf-to-root path
+	epoch    int64 // allocate() invocation stamp
 
-	// Indexed min-heap over constraints keyed lexicographically by
-	// (shares[c], c). The lexicographic order makes the heap minimum
-	// exactly the constraint the reference ascending-index scan selects:
-	// the lowest-index constraint among those with the strictly smallest
-	// share. heap0/pos0 track the live shares0 across events (at most
-	// four sift fixes per event); allocate() memcopies them into
-	// heap/pos scratch and fixes them as freezes change shares.
-	//
-	// useHeap gates the structure on fabric size: for small constraint
-	// sets a linear compare scan of shares beats the heap's sift
-	// constant, so the heap only pays off past heapMinCons constraints.
-	// Both selection methods observe the same cached shares and the
-	// same (share, lowest-index) order, so they pick bit-identical
-	// bottlenecks — the golden fixtures cover both paths.
-	useHeap bool
-	heap0   []int32 // heap of constraint ids
-	pos0    []int32 // constraint id -> heap0 slot
-	heap    []int32 // allocate() scratch heap
-	pos     []int32 // allocate() scratch positions
+	// Constraints touched by the current progressive-filling round,
+	// listed once each: touched[c] holds the round stamp (e.rounds) of
+	// the last round that touched c.
+	dirty   []int32
+	touched []int64
 
 	// CSR member lists, rebuilt per allocate() from counts0 (which is
 	// exactly the per-constraint membership count): members[offsets[c]:
@@ -301,79 +293,96 @@ func newEngine(cfg Config, flows []workload.Flow) (*engine, error) {
 	e.caps = make([]float64, e.nCons)
 	e.counts0 = make([]int32, e.nCons)
 	e.counts = make([]int32, e.nCons)
-	e.shares0 = make([]float64, e.nCons)
-	e.shares = make([]float64, e.nCons)
-	e.useHeap = e.nCons >= heapMinCons
-	e.heap0 = make([]int32, e.nCons)
-	e.pos0 = make([]int32, e.nCons)
-	e.heap = make([]int32, e.nCons)
-	e.pos = make([]int32, e.nCons)
-	for i := range e.shares0 {
-		e.shares0[i] = math.Inf(1) // no members yet
-		// The identity permutation is a valid heap for all-equal keys
-		// with the ascending-index tie-break.
-		e.heap0[i] = int32(i)
-		e.pos0[i] = int32(i)
-	}
+	e.tree0 = newWinnerTree(e.nCons)
+	e.tree = newWinnerTree(e.nCons)
+	e.depth = bits.Len(uint(2*e.nCons-1)) - 1
+	e.dirty = make([]int32, 0, e.nCons)
+	e.touched = make([]int64, e.nCons)
 	e.offsets = make([]int32, e.nCons+1)
 	e.fill = make([]int32, e.nCons)
 	e.members = make([]int32, 4*len(flows))
 	return e, nil
 }
 
-// heapMinCons is the constraint-count threshold above which allocate()
-// keeps the bottleneck heap; below it a linear compare scan of the share
-// cache is faster (smaller constant, perfect locality). Chosen so a
-// 64-endpoint non-blocking fabric (128 constraints) is the first to use
-// the heap.
-const heapMinCons = 128
+// winnerTree is a tournament tree over n constraints keyed
+// lexicographically by (share, index), laid out iteratively with no
+// padding: leaf c sits at n+c, and node i (1 <= i < n) holds the winner
+// of its children 2i and 2i+1. The order is total, so whatever the
+// tree's shape, node 1 holds the lowest-index constraint among those
+// with the strictly smallest share: exactly what the reference
+// ascending-index strict-< scan selects. A node stores its winner's
+// share next to its id, so it is recomputed from its two children alone.
+type winnerTree []node
 
-// cLess orders constraint ids lexicographically by (key[c], c): strictly
-// smaller share first, lowest index among equal shares. The heap minimum
-// under this order is exactly what the reference ascending-index
-// strict-< scan selects.
-func cLess(a, b int32, key []float64) bool {
-	ka, kb := key[a], key[b]
-	return ka < kb || (ka == kb && a < b)
+// node is a tree slot: a constraint and the IEEE-754 bits of its share.
+// A share is +Inf or a capacity clamped at +0 divided by a positive
+// count, never negative, -0 or NaN, so the bit patterns order as the
+// shares do when compared as unsigned integers, and the comparisons
+// stay in integer registers.
+type node struct {
+	key uint64
+	c   int32
 }
 
-func siftUp(h, pos []int32, key []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !cLess(h[i], h[p], key) {
+// newWinnerTree returns a tree over n empty constraints (share +Inf).
+func newWinnerTree(n int) winnerTree {
+	t := make(winnerTree, 2*n)
+	for c := 0; c < n; c++ {
+		t[n+c] = node{math.Float64bits(math.Inf(1)), int32(c)}
+	}
+	t.rebuild()
+	return t
+}
+
+// set stores share in constraint c's leaf. The nodes above it are
+// stale until fix(c) or rebuild runs.
+func (t winnerTree) set(c int32, share float64) {
+	t[len(t)/2+int(c)].key = math.Float64bits(share)
+}
+
+// root returns the winning constraint and its share.
+func (t winnerTree) root() (int32, float64) {
+	return t[1].c, math.Float64frombits(t[1].key)
+}
+
+// pull returns the winner of node i's children: strictly smaller share
+// first, lowest index among equal shares.
+func (t winnerTree) pull(i int) node {
+	p := t[2*i : 2*i+2 : 2*i+2]
+	w, r := p[0], p[1]
+	if r.key < w.key {
+		w = r
+	}
+	if r.key == w.key && r.c < w.c {
+		w = r
+	}
+	return w
+}
+
+// fix recomputes the nodes on the path from constraint c's leaf to the
+// root after its share changed. It stops at the first node whose
+// recomputed value (winner and share) equals the stored one: a node
+// depends only on its two children's stored values, so no node above
+// it changes either. The same holds for a batch of changed leaves fixed
+// one after another: before the first fix, only parents of changed
+// leaves can be stale; each fix leaves every node it stops at or passes
+// consistent with its children, and changes no node without
+// recomputing its parent.
+func (t winnerTree) fix(c int32) {
+	for i := (len(t)/2 + int(c)) >> 1; i >= 1; i >>= 1 {
+		w := t.pull(i)
+		if w == t[i] {
 			return
 		}
-		h[i], h[p] = h[p], h[i]
-		pos[h[i]], pos[h[p]] = int32(i), int32(p)
-		i = p
+		t[i] = w
 	}
 }
 
-func siftDown(h, pos []int32, key []float64, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && cLess(h[r], h[l], key) {
-			m = r
-		}
-		if !cLess(h[m], h[i], key) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		pos[h[i]], pos[h[m]] = int32(i), int32(m)
-		i = m
+// rebuild recomputes every internal node bottom-up in one pass.
+func (t winnerTree) rebuild() {
+	for i := len(t)/2 - 1; i >= 1; i-- {
+		t[i] = t.pull(i)
 	}
-}
-
-// heapFix restores the heap invariant after key[c] changed.
-func heapFix(h, pos []int32, key []float64, c int32) {
-	i := int(pos[c])
-	siftUp(h, pos, key, i)
-	siftDown(h, pos, key, int(pos[c]))
 }
 
 // constraintsFor returns the constraint indices of a flow, -1 padded.
@@ -397,6 +406,17 @@ func (e *engine) done() bool { return e.nAct == 0 && e.next >= len(e.ordered) }
 // step advances the simulation by one event (the earlier of the next
 // arrival and the next completion), then recomputes max-min rates.
 func (e *engine) step() error {
+	if err := e.advance(); err != nil {
+		return err
+	}
+	e.allocate()
+	return nil
+}
+
+// advance processes one event: it integrates flow progress up to the
+// event, then admits the arriving flow or retires the completed one,
+// updating the live membership counts, share cache and winner tree.
+func (e *engine) advance() error {
 	// Next arrival time, if any.
 	arrival := math.Inf(1)
 	if e.next < len(e.ordered) {
@@ -436,10 +456,8 @@ func (e *engine) step() error {
 		for _, c := range cs {
 			if c >= 0 {
 				e.counts0[c]++
-				e.shares0[c] = e.caps0[c] / float64(e.counts0[c])
-				if e.useHeap {
-					heapFix(e.heap0, e.pos0, e.shares0, c)
-				}
+				e.tree0.set(c, e.caps0[c]/float64(e.counts0[c]))
+				e.tree0.fix(c)
 			}
 		}
 	} else {
@@ -459,14 +477,12 @@ func (e *engine) step() error {
 		// Swap-remove from the dense table.
 		for _, c := range e.cons[doneIdx] {
 			if c >= 0 {
+				share := math.Inf(1)
 				if e.counts0[c]--; e.counts0[c] > 0 {
-					e.shares0[c] = e.caps0[c] / float64(e.counts0[c])
-				} else {
-					e.shares0[c] = math.Inf(1)
+					share = e.caps0[c] / float64(e.counts0[c])
 				}
-				if e.useHeap {
-					heapFix(e.heap0, e.pos0, e.shares0, c)
-				}
+				e.tree0.set(c, share)
+				e.tree0.fix(c)
 			}
 		}
 		last := e.nAct - 1
@@ -479,7 +495,6 @@ func (e *engine) step() error {
 		}
 		e.nAct = last
 	}
-	e.allocate()
 	return nil
 }
 
@@ -532,19 +547,23 @@ func (e *engine) integrate(dt float64) {
 // every frozen flow subtracts the same share, and float subtraction of a
 // repeated constant commutes), so the dense-order iteration reproduces
 // the reference map-order implementation bit for bit. Constraint
-// membership counts are maintained incrementally on arrival/departure;
-// here they are restored with two memcopies instead of a full rebuild,
-// and frozen flows are marked with an epoch stamp instead of a freshly
-// allocated bool slice.
+// membership counts and the winner tree are maintained incrementally on
+// arrival/departure; here they are restored with memcopies instead of a
+// full rebuild, and frozen flows are marked with an epoch stamp instead
+// of a freshly allocated bool slice.
+//
+// A round's freezes only subtract from caps and counts; each constraint
+// they touch has its share recomputed and its tree leaf updated once,
+// after the round. That is exact: every freeze of a round subtracts the
+// same bestShare, so the final caps and counts do not depend on freeze
+// order; the share computed from them equals the last per-freeze value
+// the reference computed; and no share is read before the next round's
+// selection.
 func (e *engine) allocate() {
+	nCons := e.nCons
 	copy(e.caps, e.caps0)
 	copy(e.counts, e.counts0)
-	copy(e.shares, e.shares0)
-	useHeap := e.useHeap
-	if useHeap {
-		copy(e.heap, e.heap0)
-		copy(e.pos, e.pos0)
-	}
+	copy(e.tree, e.tree0)
 	e.epoch++
 	epoch := e.epoch
 	nAct := e.nAct
@@ -554,7 +573,7 @@ func (e *engine) allocate() {
 	// dense-table order — the order the reference freeze scan visits.
 	off := e.offsets
 	off[0] = 0
-	for c := 0; c < e.nCons; c++ {
+	for c := 0; c < nCons; c++ {
 		off[c+1] = off[c] + e.counts0[c]
 		e.fill[c] = off[c]
 	}
@@ -568,37 +587,25 @@ func (e *engine) allocate() {
 			}
 		}
 	}
-	shares := e.shares
-	heap, pos, members := e.heap, e.pos, e.members
+	caps, counts := e.caps, e.counts
+	tree, touched, members := e.tree, e.touched, e.members
 	unfrozen := nAct
 	for unfrozen > 0 {
 		e.rounds++
-		// Pick the tightest constraint: shares[] caches
+		round := e.rounds
+		// The tightest constraint is the tree's winner: its leaves cache
 		// caps[c]/float64(counts[c]) — the identical expression the
-		// reference evaluated inline, +Inf for empty constraints. The
-		// heap minimum under the (share, index) order and the linear
-		// ascending strict-< scan select the same lowest-index minimum.
-		var b int32
-		var bestShare float64
-		if useHeap {
-			b = heap[0]
-			bestShare = shares[b]
-		} else {
-			b, bestShare = 0, shares[0]
-			for c := 1; c < e.nCons; c++ {
-				if s := shares[c]; s < bestShare {
-					b, bestShare = int32(c), s
-				}
-			}
-		}
+		// reference evaluated inline, +Inf for empty constraints.
+		b, bestShare := tree.root()
 		if math.IsInf(bestShare, 1) {
 			break // no constraint has members (defensive, as before)
 		}
 		// Freeze every unfrozen flow crossing the bottleneck. The member
 		// list visits exactly the flows the reference full-table scan
 		// would freeze, in the same ascending order. After the loop every
-		// member is frozen, so counts[b] is 0, shares[b] is +Inf, and b
-		// has sunk in the heap: each bottleneck is selected at most once.
+		// member is frozen, so counts[b] is 0 and b's share becomes +Inf:
+		// each bottleneck is selected at most once.
+		dirty := e.dirty[:0]
 		for k := off[b]; k < off[b+1]; k++ {
 			i := int(members[k])
 			if e.frozen[i] == epoch {
@@ -611,19 +618,35 @@ func (e *engine) allocate() {
 			cs := &e.cons[i]
 			for _, c := range cs {
 				if c >= 0 {
-					e.caps[c] -= bestShare
-					if e.caps[c] < 0 {
-						e.caps[c] = 0
+					caps[c] -= bestShare
+					if caps[c] < 0 {
+						caps[c] = 0
 					}
-					if e.counts[c]--; e.counts[c] > 0 {
-						shares[c] = e.caps[c] / float64(e.counts[c])
-					} else {
-						shares[c] = math.Inf(1)
-					}
-					if useHeap {
-						heapFix(heap, pos, shares, c)
+					counts[c]--
+					if touched[c] != round {
+						touched[c] = round
+						dirty = append(dirty, c)
 					}
 				}
+			}
+		}
+		if unfrozen == 0 {
+			break // the tree is not read again
+		}
+		for _, c := range dirty {
+			share := math.Inf(1)
+			if counts[c] > 0 {
+				share = caps[c] / float64(counts[c])
+			}
+			tree.set(c, share)
+		}
+		// Update the tree: one walk per dirty leaf, or one bottom-up
+		// pass when the batch's walks could cost more.
+		if len(dirty)*e.depth > nCons {
+			tree.rebuild()
+		} else {
+			for _, c := range dirty {
+				tree.fix(c)
 			}
 		}
 	}

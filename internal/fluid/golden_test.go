@@ -111,6 +111,13 @@ func goldenCases(t *testing.T) map[string]func() (Config, []workload.Flow) {
 			return Config{Endpoints: 64, EndpointRate: 400 * simtime.Gbps,
 				Oversub: 1, BaseRTT: simtime.Microsecond}, gen(64, 0.95, 100e3, 2500, 7)
 		},
+		// The Fig 9 ESN-OSUB shape: 64 endpoints in racks of 8 at 3:1
+		// (144 constraints, 16 of them rack-tier).
+		"osub3_n64": func() (Config, []workload.Flow) {
+			return Config{Endpoints: 64, EndpointRate: 400 * simtime.Gbps,
+				EndpointsPerRack: 8, Oversub: 3,
+				BaseRTT: simtime.Microsecond}, gen(64, 0.9, 100e3, 2500, 17)
+		},
 	}
 }
 
