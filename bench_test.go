@@ -299,10 +299,12 @@ var coreBenchCases = []struct {
 }
 
 // coreBenchRecord is one measured row of BENCH_core.json, with the
-// GOMAXPROCS it ran under.
+// GOMAXPROCS it ran under and the megabytes one run allocates
+// (runtime.MemStats.TotalAlloc delta over b.N).
 type coreBenchRecord struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	CellsSec   float64 `json:"cells_per_sec"`
+	AllocMB    float64 `json:"alloc_mb_per_op"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 }
 
@@ -341,6 +343,7 @@ func writeBenchCore(b *testing.B, after map[string]coreBenchRecord) {
 		"note": "grouped(n, ports, 1) schedule; flows per coreBenchCases",
 	})
 	set("baseline_pre_optimization", coreBenchBaseline)
+	set("host", benchHost())
 	set("after", rows)
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -378,6 +381,8 @@ func BenchmarkCoreCellsPerSecond(b *testing.B) {
 			for _, f := range flows {
 				cells += int64((f.Bytes + 541) / 542)
 			}
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, err := core.Run(core.Config{
@@ -392,11 +397,16 @@ func BenchmarkCoreCellsPerSecond(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			allocMB := float64(ms1.TotalAlloc-ms0.TotalAlloc) / 1e6 / float64(b.N)
 			cellsSec := float64(cells*int64(b.N)) / b.Elapsed().Seconds()
 			b.ReportMetric(cellsSec, "cells/s")
+			b.ReportMetric(allocMB, "MB/op")
 			after[tc.name] = coreBenchRecord{
 				NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 				CellsSec:   cellsSec,
+				AllocMB:    allocMB,
 				GOMAXPROCS: runtime.GOMAXPROCS(0),
 			}
 		})

@@ -45,10 +45,10 @@ type Controller struct {
 	grantsOut []int16 // [via*n+dst] outstanding (granted, not yet arrived)
 
 	// Requests in flight, arriving at intermediates during this epoch and
-	// processed at the next Tick: per intermediate, per destination, the
-	// list of requesting sources. Destination insertion order is kept so
-	// processing is deterministic (map iteration would not be).
-	inflight []reqSet
+	// processed at the next Tick: per intermediate, the packed (dst, src)
+	// requests in arrival order (see request). One flat pointer-free list
+	// per intermediate keeps the controller's footprint O(n + requests).
+	inflight [][]uint64
 
 	// Grants in flight, delivered to sources at the next Tick. Two
 	// buffers alternate: the one handed out by the previous Tick is
@@ -70,29 +70,18 @@ type Controller struct {
 	// of the rejection-sampling loop, the simulator's hottest path.
 	used  []uint64
 	stamp uint64
+
+	// Scratch for processRequests' grouping pass: per destination, its
+	// request count and then its fill cursor (zero between
+	// intermediates); the destinations in first-request order; and the
+	// requesting sources laid out destination by destination.
+	dstCount []int32
+	dsts     []int32
+	srcs     []int32
 }
 
-// reqSet accumulates the requests one intermediate received this epoch,
-// indexed by destination, preserving insertion order for determinism.
-// Slices are reused across epochs (reset keeps their capacity).
-type reqSet struct {
-	dsts []int32
-	srcs [][]int32 // per destination; sized to the node count
-}
-
-func (r *reqSet) add(dst, src int) {
-	if len(r.srcs[dst]) == 0 {
-		r.dsts = append(r.dsts, int32(dst))
-	}
-	r.srcs[dst] = append(r.srcs[dst], int32(src))
-}
-
-func (r *reqSet) reset() {
-	for _, d := range r.dsts {
-		r.srcs[d] = r.srcs[d][:0]
-	}
-	r.dsts = r.dsts[:0]
-}
+// request packs one request for dst from src, as held in inflight.
+func request(dst, src int) uint64 { return uint64(dst)<<32 | uint64(uint32(src)) }
 
 // New returns a controller for n nodes with queue bound q. perDest is the
 // number of pair-connections per epoch the schedule provides (grants
@@ -116,13 +105,11 @@ func New(n, q, perDest int, seed uint64) (*Controller, error) {
 		r:          rng.New(seed),
 		queued:     make([]int16, n*n),
 		grantsOut:  make([]int16, n*n),
-		inflight:   make([]reqSet, n),
+		inflight:   make([][]uint64, n),
 		granted:    make([][]Grant, n),
 		grantedOld: make([][]Grant, n),
 		used:       make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		c.inflight[i].srcs = make([][]int32, n)
+		dstCount:   make([]int32, n),
 	}
 	return c, nil
 }
@@ -208,18 +195,50 @@ func (c *Controller) swapGranted() [][]Grant {
 
 // processRequests runs the intermediates' side: one grant per destination
 // per pair-connection (perDest), space permitting, against the requests
-// accumulated in inflight.
+// accumulated in inflight. Each intermediate's requests are grouped by
+// destination with a stable counting pass: destinations come out in
+// first-request order and sources in arrival order within a destination,
+// the order that fixes which source each grant draw picks.
 func (c *Controller) processRequests() {
 	r := c.r
+	count := c.dstCount
 	for via := 0; via < c.n; via++ {
-		reqs := &c.inflight[via]
-		if len(reqs.dsts) == 0 {
+		reqs := c.inflight[via]
+		if len(reqs) == 0 {
 			continue
 		}
+		dsts := c.dsts[:0]
+		for _, q := range reqs {
+			d := q >> 32
+			if count[d] == 0 {
+				dsts = append(dsts, int32(d))
+			}
+			count[d]++
+		}
+		// Turn the counts into fill cursors, destination after
+		// destination in first-request order, and scatter the sources.
+		at := int32(0)
+		for _, d := range dsts {
+			at, count[d] = at+count[d], at
+		}
+		srcsAll := c.srcs[:0]
+		if cap(srcsAll) < len(reqs) {
+			srcsAll = make([]int32, len(reqs))
+		}
+		srcsAll = srcsAll[:len(reqs)]
+		for _, q := range reqs {
+			d := q >> 32
+			srcsAll[count[d]] = int32(uint32(q))
+			count[d]++
+		}
 		base := via * c.n
-		for _, dst32 := range reqs.dsts {
+		start := int32(0)
+		for _, dst32 := range dsts {
 			dst := int(dst32)
-			srcs := reqs.srcs[dst]
+			end := count[dst]
+			count[dst] = 0
+			srcs := srcsAll[start:end]
+			start = end
 			for g := 0; g < c.perDest; g++ {
 				if len(srcs) == 0 {
 					break
@@ -235,7 +254,8 @@ func (c *Controller) processRequests() {
 				c.granted[src] = append(c.granted[src], Grant{Src: src, Via: via, Dst: dst})
 			}
 		}
-		reqs.reset()
+		c.inflight[via] = reqs[:0]
+		c.dsts, c.srcs = dsts[:0], srcsAll[:0]
 	}
 }
 
@@ -280,7 +300,7 @@ func (c *Controller) issueRequests(demand func(node int) []int) {
 				continue // no eligible intermediate left for this cell
 			}
 			used++
-			c.inflight[via].add(dst, src)
+			c.inflight[via] = append(c.inflight[via], request(dst, src))
 		}
 	}
 }

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"sirius/internal/phy"
@@ -111,5 +112,47 @@ func TestArenaSteadyStateRecycling(t *testing.T) {
 	cycle() // seed every class up to 4*releaseCap
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
 		t.Errorf("grow/drain cycle allocates %.2f objects, want 0", avg)
+	}
+}
+
+// newSimBytesBefore is newSim's allocation (runtime.MemStats.TotalAlloc
+// delta) in TestNewSimFootprint's configuration with slice-backed fifo
+// headers and per-destination congestion request lists, the layout the
+// pointer-free queue state replaced (Go 1.24, linux/amd64).
+const newSimBytesBefore = 138_541_408
+
+// TestNewSimFootprint pins the per-run state of a 1024-node
+// request/grant simulator at no more than 60% of the bytes the previous
+// queue layout allocated.
+func TestNewSimFootprint(t *testing.T) {
+	const n = 1024
+	sched, err := schedule.NewGrouped(n, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.DefaultConfig(n, 400*simtime.Gbps, 0.9, 4000)
+	flows, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Schedule:      sched,
+		Slot:          phy.DefaultSlot(),
+		Q:             4,
+		NormalizeRate: 400 * simtime.Gbps,
+		Seed:          1,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := newSim(context.Background(), cfg, flows)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(s)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("newSim at n=%d allocated %d bytes (%.1f MB)", n, got, float64(got)/1e6)
+	if limit := uint64(newSimBytesBefore) * 6 / 10; got > limit {
+		t.Errorf("newSim allocated %d bytes, want <= %d (60%% of %d)", got, limit, newSimBytesBefore)
 	}
 }

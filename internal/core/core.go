@@ -36,11 +36,14 @@
 //     loop, the paced drain, the per-epoch demand enumeration and the
 //     ModeDirect/ModeIdeal epoch passes all iterate these sets, so their
 //     cost scales with live traffic rather than with n or n².
-//   - Zero-allocation steady state. FIFO backing segments are recycled
-//     through a slab arena, scratch buffers are pre-sized and reused
-//     across epochs, and the congestion controller double-buffers its
-//     grant lists. Once warm, a simulation step performs no heap
-//     allocations (enforced by TestRunSteadyStateZeroAlloc).
+//   - Zero-allocation steady state. The n×n queue arrays hold 16-byte
+//     pointer-free ring headers whose segments are carved from fixed
+//     arena chunks and recycled through per-size-class free lists,
+//     scratch buffers are pre-sized and reused across epochs, and the
+//     congestion controller double-buffers its grant lists. Once warm,
+//     a simulation step performs no heap allocations (enforced by
+//     TestRunSteadyStateZeroAlloc), and the garbage collector never
+//     scans the per-pair state.
 //   - Determinism. The active-set iteration order is exactly the
 //     ascending/rotated index-scan order of the reference implementation,
 //     so results are byte-identical for a given seed (enforced by the
@@ -253,8 +256,9 @@ type sim struct {
 	window      simtime.Time // last flow arrival: goodput window end
 	windowBytes int64        // application bytes delivered inside the window
 
-	// Slab arenas recycling the fifo backing segments (int32: flow ids;
-	// int64: packed cell refs). See queue.go.
+	// Chunk arenas holding every fifo's ring segment (int32: flow ids;
+	// int64: packed cell refs). The fifo headers below are pointer-free
+	// locations into them. See queue.go.
 	ar32 arena[int32]
 	ar64 arena[int64]
 
@@ -263,7 +267,7 @@ type sim struct {
 	// queued cell, destinations served round-robin) so an elephant flow
 	// cannot monopolize the request budget; cells of one destination
 	// leave in FIFO order.
-	byDst       []fifo[int32] // per node*n: flow ids per destination
+	byDst       []fifo[int32] // per node*n: flow ids per destination (in ar32)
 	demandStart []int         // per node: round-robin offset over destinations
 	localCount  []int64       // per node: total cells in LOCAL
 	rrDst       []int         // per node: round-robin pull pointer (ModeIdeal)
@@ -288,6 +292,8 @@ type sim struct {
 	toInject   []int32       // per flow: cells not yet in LOCAL
 	pendingOut int64         // cells waiting across all pending queues
 
+	// The n*n queue arrays hold 16-byte ring headers (see fifo); their
+	// cells live in ar64.
 	voq  []fifo[int64] // per node*n: granted cell refs awaiting the slot to via
 	fwdq []fifo[int64] // per node*n: cell refs queued at intermediate per final dst
 

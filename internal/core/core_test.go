@@ -381,7 +381,7 @@ func TestFifo(t *testing.T) {
 			t.Fatalf("pop = %d, want %d", got, i)
 		}
 	}
-	// Interleave to exercise compaction.
+	// Interleave to exercise ring wraparound and growth.
 	for i := int32(1000); i < 2000; i++ {
 		q.push(i, &ar)
 	}

@@ -3,6 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sirius/internal/simtime"
@@ -347,4 +348,41 @@ func TestAllocateMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAllocateNoProgressPanics corrupts one winner-tree leaf so that the
+// selected bottleneck is a constraint without members: allocate must
+// report the broken invariant at once instead of repeating the round
+// forever.
+func TestAllocateNoProgressPanics(t *testing.T) {
+	cfg := Config{Endpoints: 16, EndpointRate: 400 * simtime.Gbps, Oversub: 1, BaseRTT: simtime.Microsecond}
+	e, err := newEngine(cfg, equivFlows(t, 16, 200, 5, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.nAct < 2 {
+		if err := e.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty := int32(-1)
+	for c := range e.counts0 {
+		if e.counts0[c] == 0 {
+			empty = int32(c)
+			break
+		}
+	}
+	if empty < 0 {
+		t.Fatal("every constraint has members; shrink the active set")
+	}
+	e.tree0.set(empty, 0)
+	e.tree0.fix(empty)
+	defer func() {
+		msg, _ := recover().(string)
+		want := fmt.Sprintf("froze no flow at bottleneck constraint %d (share 0)", empty)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("allocate panicked with %q, want a message containing %q", msg, want)
+		}
+	}()
+	e.allocate()
 }

@@ -606,6 +606,7 @@ func (e *engine) allocate() {
 		// member is frozen, so counts[b] is 0 and b's share becomes +Inf:
 		// each bottleneck is selected at most once.
 		dirty := e.dirty[:0]
+		before := unfrozen
 		for k := off[b]; k < off[b+1]; k++ {
 			i := int(members[k])
 			if e.frozen[i] == epoch {
@@ -629,6 +630,12 @@ func (e *engine) allocate() {
 					}
 				}
 			}
+		}
+		if unfrozen == before {
+			// A selected bottleneck always has an unfrozen member; a
+			// round that freezes nothing would repeat forever.
+			panic(fmt.Sprintf("fluid: invariant violated: round %d froze no flow at bottleneck constraint %d (share %g)",
+				round, b, bestShare))
 		}
 		if unfrozen == 0 {
 			break // the tree is not read again
