@@ -99,6 +99,7 @@ func allocTestNode(t *testing.T, nodes, payloadBytes int) *node {
 		helloSeen:   make([]bool, nodes),
 		everMember:  true,
 		welcomeS:    -1,
+		rxHorizon:   -1,
 		obs:         obs,
 		base:        base,
 		sched:       base,

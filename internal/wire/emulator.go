@@ -417,7 +417,12 @@ func (e *Emulator) admit(conn net.Conn) {
 		return
 	}
 	if old := op.conn; old != nil {
-		old.Close() // superseded by the re-registration
+		// Superseded by the re-registration: nothing more is written to
+		// it, but its reader drains what the node sent before it
+		// re-registered (closing it here would discard those frames),
+		// for at most handshakeTimeout in case the old peer never hangs
+		// up. inputDone closes it.
+		old.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	}
 	op.gen++
 	gen := op.gen
@@ -430,10 +435,13 @@ func (e *Emulator) admit(conn net.Conn) {
 	e.tel.health.ClearCondition(emuPortKey(port))
 
 	// Reply and replay the park queue while still holding op.mu, so no
-	// freshly routed frame can jump ahead of the backlog.
+	// freshly routed frame can jump ahead of the backlog. A write error
+	// here retires the connection before any reader exists, so it is
+	// closed outright.
 	if _, err := conn.Write([]byte{HsOK, uint8(port)}); err != nil {
 		e.retireConnLocked(port, op, &PortError{Port: port, Op: "write", Err: err})
 		op.mu.Unlock()
+		conn.Close()
 		return
 	}
 	for len(op.parked) > 0 {
@@ -441,6 +449,7 @@ func (e *Emulator) admit(conn net.Conn) {
 		if _, err := conn.Write(*ch.buf); err != nil {
 			e.retireConnLocked(port, op, &PortError{Port: port, Op: "write", Err: err})
 			op.mu.Unlock()
+			conn.Close()
 			return
 		}
 		op.parkedFrames -= ch.frames
@@ -630,7 +639,18 @@ func (e *Emulator) flushLocked(port int, op *outPort, cause *telemetry.Counter) 
 // keeps running. Called with op.mu held.
 func (e *Emulator) retireConnLocked(port int, op *outPort, pe *PortError) {
 	if op.conn != nil {
-		op.conn.Close()
+		// Stop writing, but let the port's reader drain what the node
+		// sent before it hung up: closing the socket here would discard
+		// those frames. The half-close tells a node that is still alive
+		// its output is gone (it relinks, closing its end and so ending
+		// the reader); the read deadline bounds the drain if it never
+		// does. inputDone closes the socket.
+		if tc, ok := op.conn.(*net.TCPConn); ok {
+			tc.CloseWrite()
+		} else {
+			op.conn.Close()
+		}
+		op.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 		op.conn = nil
 	}
 	e.mu.Lock()
@@ -739,15 +759,17 @@ func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 	op.mu.Lock()
 	if gen != op.gen {
 		op.mu.Unlock()
+		conn.Close()
 		return // superseded by a re-registration
 	}
 	broken := err != io.EOF && err != io.ErrUnexpectedEOF
+	live := op.conn == conn // false once a write error retired it
 	if broken {
 		// A broken connection (not a half-close): record it and drop the
 		// conn entirely. The node may re-register; whatever was batched
 		// for it parks until then.
 		conn.Close()
-		if op.conn == conn {
+		if live {
 			op.conn = nil
 			e.parkPendingLocked(op)
 		}
@@ -758,9 +780,24 @@ func (e *Emulator) inputDone(port, gen int, conn net.Conn, err error) {
 		e.mu.Unlock()
 		if broken {
 			e.tel.health.SetCondition(emuPortKey(port), "read failed; awaiting re-registration")
+		} else {
+			// A clean EOF before the port's last scripted registration
+			// ends this connection: the node detached (a planned drain
+			// half-closes and waits for this close before it
+			// re-registers) or closed it outright. Close our side and
+			// park everything for the re-registration: a write into a
+			// socket its peer already closed can succeed and vanish.
+			conn.Close()
+			if live {
+				op.conn = nil
+				e.parkPendingLocked(op)
+			}
 		}
 		op.mu.Unlock()
 		return // not the port's last word: await re-registration
+	}
+	if !live {
+		conn.Close() // retired: nothing more is written to it either
 	}
 	e.eofFinal[port] = true
 	// The port's final word: whatever happened to it is no longer a

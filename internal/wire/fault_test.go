@@ -314,6 +314,24 @@ func TestEmulatorSurvivesMaliciousClients(t *testing.T) {
 
 	// Hostile traffic during the run.
 	for i := 0; i < 5; i++ {
+		if i%3 == 1 {
+			// A "duplicate" that beat node 0's own registration would take
+			// port 0 over and wait on it forever: send it once node 0
+			// holds the port.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				em.mu.Lock()
+				registered := em.regCount[0] > 0
+				em.mu.Unlock()
+				if registered {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("node 0 never registered")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
 		if c, err := net.Dial("tcp", em.Addr()); err == nil {
 			switch i % 3 {
 			case 0:

@@ -203,6 +203,13 @@ type node struct {
 	dormant        bool
 	welcomeS       int    // switch epoch from the best welcome so far (-1 none)
 	welcomeMembers []bool // membership bitmap carried by that welcome
+	admittedAt     int    // switch epoch of the latest admission (awaitWelcome's result)
+
+	// rxHorizon, when >= 0, is the epoch from which received data cells
+	// no longer count: this node's scripted crash epoch, until a restart
+	// readmits it (-1 otherwise). It is set from the start, so a peer
+	// that runs ahead into the crash epoch is never counted.
+	rxHorizon int
 
 	base  schedule.Schedule // the full-fabric schedule Compact works from
 	sched schedule.Schedule // current schedule (over the active members)
@@ -287,6 +294,7 @@ func RunNode(cfg NodeConfig) (*NodeStats, error) {
 		leaveDone:   make([]bool, cfg.Nodes),
 		helloSeen:   make([]bool, cfg.Nodes),
 		welcomeS:    -1,
+		rxHorizon:   cfg.Plan.CrashEpoch(cfg.ID),
 		base:        base,
 		stats:       NodeStats{Node: cfg.ID},
 	}
@@ -578,11 +586,19 @@ func (n *node) txLoop() error {
 
 	for g < n.cfg.Epochs {
 		if g == crashAt {
-			// Fail-stop: die mid-fabric with no farewell. The peers must
-			// notice from silence alone.
+			// Fail-stop: die at the epoch boundary with no farewell. The
+			// peers must notice from silence alone. The node dies having
+			// received every cell of the epochs before crashAt and none
+			// after (rxHorizon), so what it received does not depend on
+			// how far its peers ran ahead: it waits for its inbox to
+			// settle before closing.
+			if err := n.settleInbox(crashAt); err != nil {
+				return err
+			}
 			n.tel.tracer.Instant("crash", "wire.node", me, nil)
 			n.mu.Lock()
 			n.stats.Crashed = true
+			n.dormant = true
 			failedGen := n.gen
 			if n.conn != nil {
 				n.conn.Close()
@@ -596,7 +612,6 @@ func (n *node) txLoop() error {
 			}
 			// A rolling restart is scripted: come back dormant on a fresh
 			// registration and wait for the survivors to re-admit us.
-			n.dormant = true
 			n.cond.Broadcast()
 			n.mu.Unlock()
 			if err := n.relink(failedGen); err != nil {
@@ -629,7 +644,7 @@ func (n *node) txLoop() error {
 			// Planned drain: the fabric agreed (at gate detachAt-2) that we
 			// stop being scheduled from this epoch. Wait until every cell
 			// addressed to us has arrived — zero loss — then detach.
-			if err := n.drainGate(detachAt); err != nil {
+			if err := n.settleInbox(detachAt); err != nil {
 				return err
 			}
 			n.tel.tracer.Instant("drain-detach", "wire.node", me, nil)
@@ -653,16 +668,26 @@ func (n *node) txLoop() error {
 				return nil
 			}
 			// Scripted re-add: detach quietly (a planned cycle is not an
-			// incident) and wait dormant for the members' welcome.
+			// incident) and wait dormant for the members' welcome. The
+			// detach is a half-close: the emulator answers the EOF by
+			// closing the connection, and only then does the receive side
+			// re-register. Re-registering first would race frames the
+			// emulator still writes into the old socket.
 			n.dormant = true
 			n.quietLink = true
-			failedGen := n.gen
-			if n.conn != nil {
+			oldGen := n.gen
+			if tc, ok := n.conn.(*net.TCPConn); ok {
+				tc.CloseWrite()
+			} else if n.conn != nil {
 				n.conn.Close()
 			}
 			n.cond.Broadcast()
+			for n.gen == oldGen && n.fatalErr == nil {
+				n.cond.Wait()
+			}
+			err := n.fatalErr
 			n.mu.Unlock()
-			if err := n.relink(failedGen); err != nil {
+			if err != nil {
 				return err
 			}
 			conn, gen = n.currentConn()
@@ -713,6 +738,13 @@ func (n *node) txLoop() error {
 	return nil
 }
 
+// rejoinPendingLocked reports whether the plan scripts a rejoin (a
+// restart after a crash, or a re-add after a drain) that this node has
+// not yet completed. Called with n.mu held.
+func (n *node) rejoinPendingLocked() bool {
+	return n.cfg.Plan.RejoinEpoch(n.cfg.ID) >= 0 && n.stats.Rejoins == 0
+}
+
 // isDormant reports the dormant flag under the lock.
 func (n *node) isDormant() bool {
 	n.mu.Lock()
@@ -758,25 +790,43 @@ func (n *node) announceHello(bw *bufio.Writer, conn net.Conn) error {
 }
 
 // awaitWelcome blocks dormant until a member's welcome announces this
-// node's admission switch epoch S, installs the welcomed membership view,
-// and returns S — the epoch at which to start transmitting. The welcome's
-// bitmap is the membership as of S, so the node's state matches every
-// member's exactly at the switch boundary.
+// node's admission switch epoch S, makes sure the welcomed membership
+// view is installed (admitLocked), and returns S — the epoch at which to
+// start transmitting. The receive side may have installed it already: a
+// member that has switched sends data from S on, and those cells must
+// count from the first one.
 func (n *node) awaitWelcome() (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for n.welcomeS < 0 && n.fatalErr == nil {
+	for n.dormant && n.welcomeS < 0 && n.fatalErr == nil {
 		n.cond.Wait()
 	}
 	if n.fatalErr != nil {
 		return 0, n.fatalErr
 	}
+	if n.dormant {
+		if err := n.admitLocked(); err != nil {
+			return 0, err
+		}
+	}
+	return n.admittedAt, nil
+}
+
+// admitLocked ends dormancy at the best welcome's switch epoch S: it
+// installs the welcomed membership view and resets per-peer failure
+// state. The welcome's bitmap is the membership as of S, so the node's
+// state matches every member's exactly at the switch boundary. Called
+// with n.mu held, n.welcomeS >= 0.
+func (n *node) admitLocked() error {
 	s := n.welcomeS
 	copy(n.member, n.welcomeMembers)
 	for p := 0; p < n.cfg.Nodes; p++ {
 		// Every node in the welcomed membership is, by the welcome's own
-		// construction, scheduled through epoch s-1.
-		n.heard[p] = s - 1
+		// construction, scheduled through epoch s-1. (A re-added node may
+		// already have heard epoch s from a member before it detached.)
+		if n.heard[p] < s-1 {
+			n.heard[p] = s - 1
+		}
 		n.suspected[p] = false
 		n.applied[p] = false
 		n.switchEpoch[p] = -1
@@ -797,9 +847,10 @@ func (n *node) awaitWelcome() (int, error) {
 	n.welcomeS = -1
 	n.welcomeMembers = nil
 	n.dormant = false
-	n.quietLink = false
+	n.rxHorizon = -1
+	n.admittedAt = s
 	if err := n.rebuildScheduleLocked(); err != nil {
-		return 0, err
+		return err
 	}
 	if !n.everMember {
 		n.everMember = true
@@ -810,7 +861,7 @@ func (n *node) awaitWelcome() (int, error) {
 	n.progress.Add(1)
 	n.tel.tracer.Instant("welcome", "wire.node", n.cfg.ID, nil)
 	n.cond.Broadcast()
-	return s, nil
+	return nil
 }
 
 // sendEpoch transmits epoch g's slots under the current schedule, then
@@ -1122,14 +1173,15 @@ func (n *node) recordLeaveLocked(d, sw int) {
 	n.cond.Broadcast()
 }
 
-// drainGate blocks a draining node at its switch epoch s until every
-// cell addressed to it has arrived: hearing epoch s-1 from a member
+// settleInbox blocks a node leaving the fabric at epoch boundary s — a
+// planned drain's detach or a scripted crash — until every cell
+// scheduled to it before s has arrived: hearing epoch s-1 from a member
 // means — by per-pair FIFO through the grating — that every earlier cell
 // from that member has been delivered, so detaching after hearing s-1
 // from everyone loses exactly nothing. Members that stay silent past
 // SuspectTimeout are judged like any gate laggard and the detach
 // proceeds optimistically.
-func (n *node) drainGate(s int) error {
+func (n *node) settleInbox(s int) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	deadline := time.Now().Add(n.cfg.SuspectTimeout)
@@ -1154,7 +1206,7 @@ func (n *node) drainGate(s int) error {
 				}
 				if p == n.cfg.ID {
 					return fmt.Errorf(
-						"wire: node %d: own transmissions not returning during drain (link dead beyond epoch %d)",
+						"wire: node %d: own transmissions not returning before detach (link dead beyond epoch %d)",
 						n.cfg.ID, n.heard[p])
 				}
 				n.recordSuspicionLocked(p, s, s+2, false)
@@ -1411,37 +1463,48 @@ func (n *node) handleCell(raw []byte, prbs *phy.PRBS) {
 	defer n.mu.Unlock()
 	defer n.cond.Broadcast()
 
-	if n.dormant {
-		// A dormant (not-yet-admitted) node acts on control traffic only:
-		// hellos from fellow joiners, and the welcome addressed to it. All
-		// data cells are discarded unreceived — it is not a member yet, so
-		// nothing is scheduled toward it and nothing counts.
-		if c.Kind == cell.KindControl {
-			if c.Flags&cell.FlagHello != 0 && src >= 0 && src < n.cfg.Nodes {
-				n.helloSeen[src] = true
+	if n.dormant && c.Kind == cell.KindData && n.welcomeS >= 0 &&
+		ep >= n.welcomeS && int(c.Dst) == n.cfg.ID {
+		// A member has switched to the welcomed membership and transmits
+		// to us from the switch epoch on; the transmit side may not have
+		// woken from awaitWelcome yet. Admit here, so this cell — the
+		// first one scheduled to us — counts like every later one.
+		if err := n.admitLocked(); err != nil {
+			if n.fatalErr == nil {
+				n.fatalErr = err
 			}
-			if j, sw, ok := c.Join(); ok && j == n.cfg.ID && int(c.Dst) == n.cfg.ID {
-				if n.welcomeS < 0 || sw < n.welcomeS {
-					n.welcomeS = sw
-					// c.Payload aliases the rx buffer: decode the membership
-					// bitmap into a fresh slice before the next read.
-					members := make([]bool, n.cfg.Nodes)
-					for p := 0; p < n.cfg.Nodes && p/8 < len(c.Payload); p++ {
-						members[p] = c.Payload[p/8]&(1<<(p%8)) != 0
-					}
-					n.welcomeMembers = members
-				}
-			}
+			return
 		}
-		return
 	}
 	if c.Kind == cell.KindControl {
-		// Hellos matter to members (they gate scripted expansions); stale
-		// welcomes addressed to an already-admitted node do not. Control
-		// cells never advance heard — they ride outside the schedule.
+		// Control cells never advance heard — they ride outside the
+		// schedule. Hellos gate scripted expansions, so members and
+		// dormant joiners alike record them. A welcome addressed to us
+		// counts while dormant, and also before a scripted re-add's
+		// dormancy has begun: the drained node no longer gates the
+		// members, so they may welcome it back before it has detached.
+		// Stale welcomes addressed to an admitted node do not count.
 		if c.Flags&cell.FlagHello != 0 && src >= 0 && src < n.cfg.Nodes {
 			n.helloSeen[src] = true
 		}
+		j, sw, ok := c.Join()
+		welcome := ok && j == n.cfg.ID && int(c.Dst) == n.cfg.ID
+		if welcome && (n.dormant || n.rejoinPendingLocked()) && (n.welcomeS < 0 || sw < n.welcomeS) {
+			n.welcomeS = sw
+			// c.Payload aliases the rx buffer: decode the membership
+			// bitmap into a fresh slice before the next read.
+			members := make([]bool, n.cfg.Nodes)
+			for p := 0; p < n.cfg.Nodes && p/8 < len(c.Payload); p++ {
+				members[p] = c.Payload[p/8]&(1<<(p%8)) != 0
+			}
+			n.welcomeMembers = members
+		}
+		return
+	}
+	if n.dormant {
+		// A dormant (not-yet-admitted) node discards all data cells
+		// unreceived — it is not a member yet, so nothing is scheduled
+		// toward it and nothing counts.
 		return
 	}
 
@@ -1459,7 +1522,7 @@ func (n *node) handleCell(raw []byte, prbs *phy.PRBS) {
 	if p, sw, ok := c.Drain(); ok && p >= 0 && p < n.cfg.Nodes {
 		n.recordLeaveLocked(p, sw)
 	}
-	if c.Kind != cell.KindData {
+	if c.Kind != cell.KindData || (n.rxHorizon >= 0 && ep >= n.rxHorizon) {
 		return
 	}
 	n.stats.Received++
